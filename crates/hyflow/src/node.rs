@@ -55,10 +55,11 @@ struct ObjSlot {
     cached_owner: Option<u32>,
     /// Retained read copy of a remote object (`cfg.cache` only; always
     /// `None` otherwise). Invalidated when validation proves it stale or
-    /// ownership moves through this node.
-    cache: Option<CachedCopy>,
+    /// ownership moves through this node. Boxed, like `cl_window`, to keep
+    /// the slot at 80 bytes: most slots never hold either.
+    cache: Option<Box<CachedCopy>>,
     /// Owner-side local-CL window (created on first request).
-    cl_window: Option<ObjectClWindow>,
+    cl_window: Option<Box<ObjectClWindow>>,
 }
 
 impl ObjSlot {
@@ -143,7 +144,18 @@ enum CacheOpen {
     Fetch,
 }
 
+/// One tx-table entry. Boxed: every transaction a node ever issued keeps a
+/// slot, so a finished one costs a pointer instead of a whole runtime, and
+/// [`Node::tx_take`]/[`Node::tx_put`] move a pointer.
+type TxSlot = Option<Box<TxRuntime>>;
+
 /// One simulated node.
+///
+/// `repr(C)` pins the declaration order: the fields every handler touches
+/// come first, so the engine's prefetch of a node's first 512 bytes ahead
+/// of its next event covers them, and the bulky observability state
+/// (`ptrace`, `telemetry`, `metrics`) comes last.
+#[repr(C)]
 pub struct Node {
     me: u32,
     topo: Arc<Topology>,
@@ -162,7 +174,7 @@ pub struct Node {
     /// Live transactions invoked here, indexed by `seq - 1` (sequence
     /// numbers are minted densely at start, so the Vec never has holes
     /// except where a transaction finished; `None` = finished/absent).
-    txs: Vec<Option<TxRuntime>>,
+    txs: Vec<TxSlot>,
     /// Workload not yet started.
     pending: VecDeque<BoxedProgram>,
     next_seq: u64,
@@ -174,15 +186,6 @@ pub struct Node {
     /// though the two drain trailing in-flight events in different orders.
     done_at: Option<SimTime>,
     pub completed: usize,
-    pub metrics: NodeMetrics,
-    /// Protocol-event sink (off unless `cfg.trace_protocol`; every caller
-    /// site checks `ptrace.on()` before building an event).
-    ptrace: ProtoTrace,
-    /// Passive epoch sampler (off unless `cfg.telemetry`). Checked with one
-    /// integer compare at the top of every event handler; it never sets
-    /// timers, sends messages, or draws randomness, so enabling it cannot
-    /// perturb the simulated schedule.
-    telemetry: Telemetry,
     /// Scratch buffers reused across event handlers so steady-state
     /// summary/write-back/grant processing allocates nothing. Taken with
     /// `mem::take` for the duration of a handler and put back after.
@@ -197,6 +200,18 @@ pub struct Node {
     outbox: Vec<(u32, SimDuration, Vec<Msg>)>,
     /// Recycled single-message buffers from flushed outbox groups.
     outbox_pool: Vec<Vec<Msg>>,
+    // -- cold tail: everything above fits in the engine's prefetch span --
+    /// Protocol-event sink (off unless `cfg.trace_protocol`; every caller
+    /// site checks `ptrace.on()` before building an event).
+    ptrace: ProtoTrace,
+    /// Passive epoch sampler (off unless `cfg.telemetry`). Checked with one
+    /// integer compare at the top of every event handler; it never sets
+    /// timers, sends messages, or draws randomness, so enabling it cannot
+    /// perturb the simulated schedule.
+    telemetry: Telemetry,
+    /// Counters and four log2 histograms (≈2.4 KB): last, so they stay
+    /// out of the hot lines.
+    pub metrics: NodeMetrics,
 }
 
 impl Node {
@@ -376,7 +391,7 @@ impl Node {
     pub fn cached_copies(&self) -> impl Iterator<Item = (ObjectId, &CachedCopy)> {
         self.objs
             .iter()
-            .filter_map(|s| s.cache.as_ref().map(|c| (s.oid, c)))
+            .filter_map(|s| s.cache.as_deref().map(|c| (s.oid, c)))
     }
 
     /// Time-abstract structural fingerprint of this node's protocol state.
@@ -450,7 +465,7 @@ impl Node {
         }
 
         // Live transactions, sorted by id.
-        let mut txs: Vec<&TxRuntime> = self.txs.iter().flatten().collect();
+        let mut txs: Vec<&TxRuntime> = self.txs.iter().flatten().map(|t| &**t).collect();
         txs.sort_by_key(|t| t.id);
         h.write_u64(txs.len() as u64);
         for tx in txs {
@@ -724,7 +739,7 @@ impl Node {
             .objs
             .ensure(oid)
             .cl_window
-            .get_or_insert_with(|| ObjectClWindow::new(window));
+            .get_or_insert_with(|| Box::new(ObjectClWindow::new(window)));
         w.record(now, tx);
         w.local_cl(now)
     }
@@ -734,7 +749,7 @@ impl Node {
     /// Remove and return the live runtime of `id`, if any. Foreign or
     /// unknown ids (stale messages after completion) yield `None`.
     #[inline]
-    fn tx_take(&mut self, id: TxId) -> Option<TxRuntime> {
+    fn tx_take(&mut self, id: TxId) -> TxSlot {
         if id.node != self.me {
             return None;
         }
@@ -744,7 +759,7 @@ impl Node {
 
     /// Put a runtime taken via [`Node::tx_take`] back into its slot.
     #[inline]
-    fn tx_put(&mut self, tx: TxRuntime) {
+    fn tx_put(&mut self, tx: Box<TxRuntime>) {
         let i = (tx.id.seq - 1) as usize;
         self.txs[i] = Some(tx);
     }
@@ -761,7 +776,7 @@ impl Node {
             let id = TxId::new(self.me, self.next_seq);
             let kind = program.kind();
             let expected = self.stats.expected_commit_time(kind, ctx.now());
-            let tx = TxRuntime::new(id, program, ctx.now(), expected, self.clock);
+            let tx = Box::new(TxRuntime::new(id, program, ctx.now(), expected, self.clock));
             self.active += 1;
             if self.ptrace.on() {
                 self.ptrace.push(
@@ -1876,13 +1891,17 @@ impl Node {
                     // the forwarding path below: forwarding re-validates the
                     // transaction, not the payload, which is current as of
                     // `owner_clock` either way.
-                    slot.cache = Some(CachedCopy {
+                    let copy = CachedCopy {
                         payload: Arc::clone(&payload),
                         version,
                         owner_clock,
                         local_cl,
                         owner,
-                    });
+                    };
+                    match &mut slot.cache {
+                        Some(c) => **c = copy,
+                        None => slot.cache = Some(Box::new(copy)),
+                    }
                 }
                 self.clock = self.clock.max(version);
                 self.metrics
@@ -2445,5 +2464,37 @@ impl Actor for Node {
         }
         self.dispatch_timer(ctx, timer);
         self.flush_outbox(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// Per-node state scales with the node count (10k nodes × thousands of
+    /// slots), so its layout is guarded: a field added inline to `ObjSlot`,
+    /// an unboxed tx runtime, or a hot `Node` prefix pushed past the
+    /// prefetch span fails here instead of silently costing memory
+    /// bandwidth on every large run.
+    #[test]
+    fn per_node_layout_stays_compact() {
+        assert!(
+            size_of::<ObjSlot>() <= 96,
+            "ObjSlot grew to {} bytes; box rarely-set fields",
+            size_of::<ObjSlot>()
+        );
+        assert_eq!(
+            size_of::<TxSlot>(),
+            size_of::<usize>(),
+            "tx-table element must stay pointer-sized"
+        );
+        // The engine prefetches an actor's first 512 bytes ahead of its next
+        // event; the hot fields and the `ptrace.on()` flag must fit in them.
+        assert!(
+            std::mem::offset_of!(Node, telemetry) <= 512,
+            "Node's hot fields outgrew the prefetch span: {} bytes",
+            std::mem::offset_of!(Node, telemetry)
+        );
     }
 }

@@ -22,6 +22,16 @@
 //! trait (and every actor implementation) stays independent of the backend
 //! type.
 //!
+//! The default backend keeps only the current ≈1 ms time bucket in a heap
+//! and files later events into a ring of unsorted bucket vecs (see
+//! `queue.rs`). It also answers [`EventQueue::peek_payload`]: after each pop
+//! the serial step reads the next event's destination and prefetches the
+//! first 512 bytes of that actor and of its [`ActorState`] while the
+//! current handler runs — at 10k actors their state is rarely still
+//! cached. The hint is advisory; a backend that keeps the default (`None`)
+//! runs the identical schedule without the prefetch, and so does the
+//! sharded executor.
+//!
 //! # Per-actor kernel state
 //!
 //! Everything the kernel tracks per actor — RNG stream, issue-sequence
@@ -312,6 +322,29 @@ fn schedule<M, T>(
         key: EventKey::compose(at, issuer.0, st.seq),
         payload,
     });
+}
+
+/// Bytes of an actor (and of its [`ActorState`]) prefetched ahead of its
+/// next event: eight cache lines, enough for a protocol node's hot fields.
+const PREFETCH_BYTES: usize = 512;
+
+/// Hint the CPU to pull the first [`PREFETCH_BYTES`] of `*value` into cache.
+/// A pure hint: it never faults and never changes what runs.
+#[inline(always)]
+fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let base = (value as *const T).cast::<i8>();
+        let span = std::mem::size_of::<T>().min(PREFETCH_BYTES);
+        for offset in (0..span).step_by(64) {
+            // SAFETY: `_mm_prefetch` only hints the cache; the address lies
+            // inside `*value` and is never dereferenced.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(offset)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
 }
 
 /// What one pass over the event queue did.
@@ -650,6 +683,13 @@ impl<A: Actor, Q: EventQueue<KernelEvent<A::Msg, A::Timer>>> GenericWorld<A, Q> 
             Some(ev) => ev,
             None => return StepOutcome::Drained,
         };
+        // Warm the next event's actor while this one's handler runs: with
+        // thousands of actors their state is rarely still cached.
+        if let Some(next) = self.queue.peek_payload() {
+            let i = self.core.slot(next.destination());
+            prefetch(&self.actors[i]);
+            prefetch(&self.core.states[i]);
+        }
         dispatch_one(&mut self.actors, &mut self.core, &mut self.queue, ev)
     }
 

@@ -2,11 +2,14 @@
 //!
 //! The simulator's hot loop is `pop-min / handle / push-futures`; the pending
 //! event set dominates kernel cost in large runs (80 nodes × thousands of
-//! in-flight transactions). Two implementations are provided behind the
-//! [`EventQueue`] trait:
+//! in-flight transactions, or 10k nodes with ~57k events pending). Two
+//! implementations are provided behind the [`EventQueue`] trait:
 //!
-//! * [`BinaryHeapQueue`] — `std::collections::BinaryHeap` of
-//!   [`Sequenced`] entries. O(log n), excellent constants, the default.
+//! * [`BinaryHeapQueue`] — two tiers over a payload slab: a 4-ary heap of
+//!   `(EventKey, slot)` pairs holding only the current ≈1 ms time bucket,
+//!   and a ring of 64 unsorted bucket vecs (plus an overflow heap) for
+//!   everything later. Pushes are mostly O(1) appends; a drained heap is
+//!   refilled by heapifying the next bucket in O(k). The default.
 //! * [`CalendarQueue`] — the classic Brown (1988) calendar queue: an array of
 //!   day-buckets over a year of virtual time, giving amortized O(1)
 //!   enqueue/dequeue when event inter-arrival times are roughly stationary —
@@ -30,6 +33,15 @@ pub trait EventQueue<E> {
     /// Key of the minimum event without removing it.
     fn peek_key(&self) -> Option<EventKey>;
 
+    /// Payload of the minimum event without removing it — a locality hint:
+    /// the engine reads the next event's destination to prefetch that
+    /// actor's state while the current handler runs. Backends that cannot
+    /// answer cheaply keep this default; `None` only forgoes the prefetch,
+    /// it never changes what runs.
+    fn peek_payload(&self) -> Option<&E> {
+        None
+    }
+
     fn len(&self) -> usize;
 
     fn is_empty(&self) -> bool {
@@ -42,26 +54,49 @@ pub trait EventQueue<E> {
 // ---------------------------------------------------------------------------
 
 /// Heap-based pending-event set (the default; historically a binary heap,
-/// now a 4-ary indexed heap — the name survives as the public API).
+/// now a 4-ary indexed heap over the current time bucket in front of a ring
+/// of unsorted bucket vecs — the name survives as the public API).
 ///
-/// Two data-layout decisions, both from profiles where heap push/pop was the
-/// single largest kernel cost:
+/// Three data-layout decisions, all from profiles where queue push/pop was
+/// the single largest kernel cost:
 ///
-/// * The heap stores only `(EventKey, slot index)` pairs — 24 bytes — while
-///   payloads sit in a slab with a free list. Sifting moves small POD
+/// * Entries are `(EventKey, slot index)` pairs — 24 bytes — while payloads
+///   sit in a slab with a free list. Sifting and bucketing move small POD
 ///   entries instead of full `Sequenced<E>` values (≈88 bytes for the
-///   kernel's `NodeEvent`), cutting memmove traffic. Slots are recycled, so
-///   steady state allocates nothing.
+///   kernel's `NodeEvent`). Slots are recycled, so steady state allocates
+///   nothing.
+/// * Virtual time is cut into fixed buckets of 2^20 ns (≈1.05 ms). Only the
+///   events of the *current* bucket (and, after a drain, any pushed below
+///   it) live in the heap; later events are appended unsorted to a ring of
+///   64 bucket vecs spanning ≈67 ms — more than the 50 ms maximum link
+///   delay, so nearly every push is an O(1) append and the heap holds one
+///   bucket's share of the pending events instead of all of them. Events
+///   beyond the ring wait in an overflow heap. When the heap drains,
+///   the next non-empty bucket (found through a 64-bit occupancy mask, or
+///   the overflow's earliest bucket when the ring is empty) is swapped in
+///   and heapified in O(k).
 /// * The heap is 4-ary: half the levels of a binary heap, and the four
 ///   children of a node are contiguous (96 bytes, ~2 cache lines), so a
 ///   sift-down touches fewer distinct lines for the same comparison count.
 ///
-/// Keys are unique (engine-assigned sequence numbers), so pop order — hence
-/// simulation output — is bit-identical to the previous
-/// `std::collections::BinaryHeap` representation regardless of heap shape.
+/// Every heap entry's bucket is at or before every ring and overflow
+/// entry's, and keys are unique (engine-assigned sequence numbers), so pop
+/// order — hence simulation output — is bit-identical to a single sorted
+/// queue regardless of bucket boundaries.
 pub struct BinaryHeapQueue<E> {
-    /// Min-heap of `(key, index into slots)`, 4-ary.
+    /// Min-heap of `(key, index into slots)`, 4-ary: every event whose
+    /// bucket is at or before `cur`. Non-empty whenever the queue is.
     heap: Vec<(EventKey, u32)>,
+    /// Bucket number of the heap tier.
+    cur: u64,
+    /// `ring[b % RING]` holds bucket `b`'s events, unsorted, for
+    /// `cur < b < cur + RING`.
+    ring: Vec<Vec<(EventKey, u32)>>,
+    /// Bit `b % RING` is set iff `ring[b % RING]` is non-empty.
+    occupied: u64,
+    /// Min-heap (4-ary) of the events in buckets `>= cur + RING`.
+    overflow: Vec<(EventKey, u32)>,
+    len: usize,
     /// Payload slab; `None` entries are free and listed in `free`.
     slots: Vec<Option<E>>,
     free: Vec<u32>,
@@ -71,62 +106,138 @@ pub struct BinaryHeapQueue<E> {
 /// tree depth vs. binary.
 const D: usize = 4;
 
+/// Bucket width: 2^20 ns ≈ 1.05 ms of virtual time.
+const BUCKET_SHIFT: u32 = 20;
+
+/// Ring size in buckets (≈67 ms); one occupancy bit per bucket.
+const RING: u64 = 64;
+
+#[inline]
+fn bucket_of(key: EventKey) -> u64 {
+    key.time.0 >> BUCKET_SHIFT
+}
+
+fn sift_up(heap: &mut [(EventKey, u32)], mut i: usize) {
+    let entry = heap[i];
+    while i > 0 {
+        let parent = (i - 1) / D;
+        if heap[parent].0 <= entry.0 {
+            break;
+        }
+        heap[i] = heap[parent];
+        i = parent;
+    }
+    heap[i] = entry;
+}
+
+fn sift_down(heap: &mut [(EventKey, u32)], mut i: usize) {
+    let len = heap.len();
+    let entry = heap[i];
+    loop {
+        let first = D * i + 1;
+        if first >= len {
+            break;
+        }
+        // Smallest of the (up to D) children.
+        let last = (first + D).min(len);
+        let mut child = first;
+        let mut child_key = heap[first].0;
+        for (c, &(k, _)) in (first + 1..).zip(&heap[first + 1..last]) {
+            if k < child_key {
+                child = c;
+                child_key = k;
+            }
+        }
+        if entry.0 <= child_key {
+            break;
+        }
+        heap[i] = heap[child];
+        i = child;
+    }
+    heap[i] = entry;
+}
+
+fn heap_push(heap: &mut Vec<(EventKey, u32)>, entry: (EventKey, u32)) {
+    heap.push(entry);
+    let i = heap.len() - 1;
+    sift_up(heap, i);
+}
+
+fn heap_pop(heap: &mut Vec<(EventKey, u32)>) -> Option<(EventKey, u32)> {
+    let top = *heap.first()?;
+    let last = heap.pop().expect("non-empty heap");
+    if !heap.is_empty() {
+        heap[0] = last;
+        sift_down(heap, 0);
+    }
+    Some(top)
+}
+
+/// Bottom-up heap construction, O(n).
+fn heapify(heap: &mut [(EventKey, u32)]) {
+    if heap.len() > 1 {
+        for i in (0..=(heap.len() - 2) / D).rev() {
+            sift_down(heap, i);
+        }
+    }
+}
+
 impl<E> BinaryHeapQueue<E> {
     pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: Vec::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
+        Self::with_capacity(0)
     }
 
     pub fn with_capacity(cap: usize) -> Self {
         BinaryHeapQueue {
-            heap: Vec::with_capacity(cap),
+            heap: Vec::new(),
+            cur: 0,
+            ring: (0..RING).map(|_| Vec::new()).collect(),
+            occupied: 0,
+            overflow: Vec::new(),
+            len: 0,
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
         }
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        let entry = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / D;
-            if self.heap[parent].0 <= entry.0 {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
-        }
-        self.heap[i] = entry;
+    /// File an entry of bucket `b` (`cur < b < cur + RING`) into the ring.
+    #[inline]
+    fn file_in_ring(&mut self, b: u64, entry: (EventKey, u32)) {
+        let r = (b % RING) as usize;
+        self.ring[r].push(entry);
+        self.occupied |= 1 << r;
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        let entry = self.heap[i];
-        loop {
-            let first = D * i + 1;
-            if first >= len {
+    /// The heap tier just drained with events still pending: move `cur` to
+    /// the earliest non-empty bucket, pull the overflow events that now fall
+    /// inside the ring's span, and swap that bucket in as the new heap.
+    fn advance(&mut self) {
+        debug_assert!(self.heap.is_empty() && self.len > 0);
+        // Ring buckets all lie before `cur + RING`, overflow buckets at or
+        // after it, so the ring's earliest bucket wins whenever it has one.
+        self.cur = if self.occupied != 0 {
+            let start = (self.cur + 1) % RING;
+            let rotated = self.occupied.rotate_right(start as u32);
+            self.cur + 1 + u64::from(rotated.trailing_zeros())
+        } else {
+            let &(k, _) = self
+                .overflow
+                .first()
+                .expect("len > 0 implies a pending event");
+            bucket_of(k)
+        };
+        while let Some(&(k, _)) = self.overflow.first() {
+            let b = bucket_of(k);
+            if b >= self.cur + RING {
                 break;
             }
-            // Smallest of the (up to D) children.
-            let last = (first + D).min(len);
-            let mut child = first;
-            let mut child_key = self.heap[first].0;
-            for c in first + 1..last {
-                let k = self.heap[c].0;
-                if k < child_key {
-                    child = c;
-                    child_key = k;
-                }
-            }
-            if entry.0 <= child_key {
-                break;
-            }
-            self.heap[i] = self.heap[child];
-            i = child;
+            let entry = heap_pop(&mut self.overflow).expect("peeked");
+            self.file_in_ring(b, entry);
         }
-        self.heap[i] = entry;
+        let r = (self.cur % RING) as usize;
+        std::mem::swap(&mut self.heap, &mut self.ring[r]);
+        self.occupied &= !(1 << r);
+        heapify(&mut self.heap);
     }
 }
 
@@ -148,16 +259,28 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.heap.push((ev.key, idx));
-        self.sift_up(self.heap.len() - 1);
+        let entry = (ev.key, idx);
+        let b = bucket_of(ev.key);
+        if self.len == 0 {
+            // Empty queue: the tiers carry no constraint, so rebase on the
+            // new event's bucket.
+            self.cur = b;
+        }
+        self.len += 1;
+        if b <= self.cur {
+            heap_push(&mut self.heap, entry);
+        } else if b < self.cur + RING {
+            self.file_in_ring(b, entry);
+        } else {
+            heap_push(&mut self.overflow, entry);
+        }
     }
 
     fn pop(&mut self) -> Option<Sequenced<E>> {
-        let (key, idx) = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty heap");
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+        let (key, idx) = heap_pop(&mut self.heap)?;
+        self.len -= 1;
+        if self.heap.is_empty() && self.len > 0 {
+            self.advance();
         }
         let payload = self.slots[idx as usize].take().expect("occupied slot");
         self.free.push(idx);
@@ -170,8 +293,15 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
     }
 
     #[inline]
+    fn peek_payload(&self) -> Option<&E> {
+        self.heap
+            .first()
+            .and_then(|&(_, idx)| self.slots[idx as usize].as_ref())
+    }
+
+    #[inline]
     fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 }
 
